@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/fp_env.hpp"
 #include "common/sync.hpp"
 
 namespace dp {
@@ -92,6 +93,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::workerLoop() {
+  setDenormalsFlushed(true);  // a worker runs nothing but chunks
   State& s = *state_;
   std::uint64_t seen = 0;
   for (;;) {
@@ -113,6 +115,9 @@ void ThreadPool::parallelFor(
   if (!body) throw std::invalid_argument("parallelFor: null body");
   if (grain < 1) grain = 1;
   const long chunkCount = (n + grain - 1) / grain;
+  // Every chunk computes with denormals flushed, on whichever lane runs
+  // it; the caller's own mode comes back on return or throw.
+  const ScopedFlushDenormals flush;
 
   // Serial lanes, nested calls, and single-chunk loops run inline —
   // same chunk boundaries, ascending order, so results are identical.

@@ -10,7 +10,11 @@
 /// grain — never on the thread count or on scheduling. A loop body that
 /// (a) writes only state owned by its chunk and (b) reduces per-chunk
 /// results in ascending chunk order therefore produces bit-identical
-/// results at any DP_THREADS value, including 1. Randomized parallel
+/// results at any DP_THREADS value, including 1. Every chunk runs with
+/// denormals flushed to zero (common/fp_env.hpp) on every lane, inline
+/// paths included, so the flush never depends on the thread count
+/// either; the caller's floating-point mode is restored when
+/// parallelFor returns or throws. Randomized parallel
 /// tasks must draw from per-task Rng streams seeded with
 /// taskSeed(baseSeed, taskIndex) instead of sharing one generator.
 ///

@@ -8,11 +8,18 @@ double mseLoss(const Tensor& pred, const Tensor& target, Tensor& gradOut) {
   requireSameShape(pred, target, "mseLoss");
   gradOut = Tensor(pred.shape());
   const double n = static_cast<double>(pred.numel());
+  const float* p = pred.data();
+  const float* t = target.data();
+  float* g = gradOut.data();
+  elementwise(pred.numel(), [=](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i)
+      g[i] = static_cast<float>(2.0 * double{p[i] - t[i]} / n);
+  });
+  // The loss stays one serial ascending sum.
   double loss = 0.0;
   for (std::size_t i = 0; i < pred.numel(); ++i) {
-    const double d = pred[i] - target[i];
+    const double d = p[i] - t[i];
     loss += d * d;
-    gradOut[i] = static_cast<float>(2.0 * d / n);
   }
   return loss / n;
 }

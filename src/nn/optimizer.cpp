@@ -32,12 +32,14 @@ void Sgd::step() {
   for (std::size_t k = 0; k < params_.size(); ++k) {
     Param& p = *params_[k];
     Tensor& vel = velocity_[k];
-    for (std::size_t i = 0; i < p.value.numel(); ++i) {
-      const double g = effectiveGrad(p, i);
-      const double v = momentum_ * vel[i] - lr_ * g;
-      vel[i] = static_cast<float>(v);
-      p.value[i] += static_cast<float>(v);
-    }
+    elementwise(p.value.numel(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        const double g = effectiveGrad(p, i);
+        const double v = momentum_ * vel[i] - lr_ * g;
+        vel[i] = static_cast<float>(v);
+        p.value[i] += static_cast<float>(v);
+      }
+    });
   }
 }
 
@@ -77,17 +79,19 @@ void Adam::step() {
     Param& p = *params_[k];
     Tensor& m = m_[k];
     Tensor& v = v_[k];
-    for (std::size_t i = 0; i < p.value.numel(); ++i) {
-      const double g = effectiveGrad(p, i);
-      const double mi = beta1_ * m[i] + (1.0 - beta1_) * g;
-      const double vi = beta2_ * v[i] + (1.0 - beta2_) * g * g;
-      m[i] = static_cast<float>(mi);
-      v[i] = static_cast<float>(vi);
-      const double mhat = mi / bc1;
-      const double vhat = vi / bc2;
-      p.value[i] -= static_cast<float>(lr_ * mhat /
-                                       (std::sqrt(vhat) + eps_));
-    }
+    elementwise(p.value.numel(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        const double g = effectiveGrad(p, i);
+        const double mi = beta1_ * m[i] + (1.0 - beta1_) * g;
+        const double vi = beta2_ * v[i] + (1.0 - beta2_) * g * g;
+        m[i] = static_cast<float>(mi);
+        v[i] = static_cast<float>(vi);
+        const double mhat = mi / bc1;
+        const double vhat = vi / bc2;
+        p.value[i] -= static_cast<float>(lr_ * mhat /
+                                         (std::sqrt(vhat) + eps_));
+      }
+    });
   }
 }
 

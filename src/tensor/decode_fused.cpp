@@ -1,12 +1,44 @@
 #include "tensor/decode_fused.hpp"
 
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/cpu.hpp"
 #include "common/thread_pool.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/tensor.hpp"
 
 namespace dp::nn::fused {
+
+namespace {
+
+/// DecodePlan::zHalf: bisection over the bit patterns of the floats in
+/// [-1, -0], relying only on the float sigmoid being monotone. With -f(u)
+/// the float of magnitude bit pattern u, sigmoid(-0) is exactly 0.5 and
+/// sigmoid(-1) is 0.27; invariant: sigmoid(-f(lo)) >= 0.5f, and
+/// sigmoid(-f(hi)) is not.
+float sigmoidHalfThreshold() {
+  const auto negFloat = [](std::uint32_t u) {
+    float f = 0.0f;
+    std::memcpy(&f, &u, sizeof(f));
+    return -f;
+  };
+  const float one = 1.0f;
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+  std::memcpy(&hi, &one, sizeof(hi));
+  while (hi - lo > 1) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (sigmoid(negFloat(mid)) >= 0.5f)
+      lo = mid;
+    else
+      hi = mid;
+  }
+  return negFloat(lo);
+}
+
+}  // namespace
 
 DecodePlan buildDecodePlan(int latentDim, int hidden, int c2, int s4, int c1,
                            int kernel, int stride, int pad, const float* w1,
@@ -58,6 +90,7 @@ DecodePlan buildDecodePlan(int latentDim, int hidden, int c2, int s4, int c1,
   plan.bd1.assign(bd1, bd1 + c1);
   plan.p2.assign(wd2, wd2 + static_cast<std::size_t>(c1) * 16);
   plan.bd2 = bd2;
+  plan.zHalf = sigmoidHalfThreshold();
   return plan;
 }
 
@@ -204,14 +237,15 @@ void decodeSampleScalar(const DecodePlan& plan, const float* latent,
     }
   }
 
-  // Binarize: sigmoid(z) >= 0.5 iff z = acc + bias >= 0 (the compare
-  // handles -0 and NaN exactly like `sigmoid >= 0.5f` does).
+  // Binarize: sigmoid(z) >= 0.5 iff z = acc + bias >= zHalf (the
+  // compare handles -0 and NaN exactly like `sigmoid >= 0.5f` does).
   const float bias = plan.bd2;
+  const float zHalf = plan.zHalf;
   for (int r = 0; r < s; ++r) {
     const float* row = out + (r + 1) * ow + 1;
     std::uint32_t m = 0;
     for (int c = 0; c < s; ++c)
-      if (row[c] + bias >= 0.0f) m |= 1U << c;
+      if (row[c] + bias >= zHalf) m |= 1U << c;
     masks[r] = m;
   }
 }

@@ -11,10 +11,11 @@
 ///  - deconvs as per-input-cell scatters of prepacked channels-last
 ///    weight patches (skipping post-ReLU zeros) instead of
 ///    GEMM + col2im round-trips,
-///  - no transcendental: sigmoid(z) >= 0.5 iff z >= 0, so binarization
-///    is a sign test on the pre-activation and the output is emitted
-///    directly as 32-bit row masks (bit c of masks[r] = cell (r, c),
-///    row 0 = bottom — the squish/packed_topo.hpp convention).
+///  - no transcendental: sigmoid(z) >= 0.5 iff z >= zHalf, a threshold
+///    found once per plan, so binarization is one compare on the
+///    pre-activation and the output is emitted directly as 32-bit row
+///    masks (bit c of masks[r] = cell (r, c), row 0 = bottom — the
+///    squish/packed_topo.hpp convention).
 ///
 /// Dispatch follows gemmKernelTarget(): the scalar, AVX2 and AVX-512
 /// sample kernels live in decode_fused.cpp / decode_fused_avx2.cpp /
@@ -52,7 +53,12 @@ struct DecodePlan {
   std::vector<float> bd1;  ///< c1
   /// Deconv2 patches: p2[in*16 + kh*4 + kw] (single output channel).
   std::vector<float> p2;
-  float bd2 = 0.0f;  ///< deconv2 bias, folded into the sign test
+  float bd2 = 0.0f;  ///< deconv2 bias, folded into the threshold test
+  /// Smallest float z whose float sigmoid (nn::sigmoid, the Sigmoid
+  /// layer's expression) is >= 0.5f: a cell is set iff z >= zHalf. It
+  /// is slightly below 0 (about -1.8e-7), because 1 / (1 + exp(-z))
+  /// still rounds to 0.5f for tiny negative z.
+  float zHalf = 0.0f;
 };
 
 /// Builds a plan from raw row-major layer weights:

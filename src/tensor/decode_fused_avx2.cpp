@@ -210,18 +210,18 @@ void decodeSampleAvx2(const DecodePlan& plan, const float* latent,
   }
 
   const __m256 vbias = _mm256_set1_ps(plan.bd2);
-  const __m256 vzero = _mm256_setzero_ps();
+  const __m256 vhalf = _mm256_set1_ps(plan.zHalf);
   const int vs = s & ~7;
   for (int r = 0; r < s; ++r) {
     const float* row = out + (r + 1) * ow + 1;
     std::uint32_t m = 0;
     for (int c = 0; c < vs; c += 8) {
       const __m256 z = _mm256_add_ps(_mm256_loadu_ps(row + c), vbias);
-      const __m256 ge = _mm256_cmp_ps(z, vzero, _CMP_GE_OQ);
+      const __m256 ge = _mm256_cmp_ps(z, vhalf, _CMP_GE_OQ);
       m |= static_cast<std::uint32_t>(_mm256_movemask_ps(ge)) << c;
     }
     for (int c = vs; c < s; ++c)
-      if (row[c] + plan.bd2 >= 0.0f) m |= 1U << c;
+      if (row[c] + plan.bd2 >= plan.zHalf) m |= 1U << c;
     masks[r] = m;
   }
 }

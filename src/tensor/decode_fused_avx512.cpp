@@ -203,7 +203,7 @@ void decodeSampleAvx512(const DecodePlan& plan, const float* latent,
   }
 
   const __m512 vbias = _mm512_set1_ps(plan.bd2);
-  const __m512 vzero = _mm512_setzero_ps();
+  const __m512 vhalf = _mm512_set1_ps(plan.zHalf);
   for (int r = 0; r < s; ++r) {
     const float* row = out + (r + 1) * ow + 1;
     std::uint32_t m = 0;
@@ -213,7 +213,7 @@ void decodeSampleAvx512(const DecodePlan& plan, const float* latent,
           static_cast<__mmask16>((1U << static_cast<unsigned>(lanes)) - 1U);
       const __m512 z =
           _mm512_add_ps(_mm512_maskz_loadu_ps(k, row + c), vbias);
-      const __mmask16 ge = _mm512_mask_cmp_ps_mask(k, z, vzero, _CMP_GE_OQ);
+      const __mmask16 ge = _mm512_mask_cmp_ps_mask(k, z, vhalf, _CMP_GE_OQ);
       m |= static_cast<std::uint32_t>(ge) << c;
     }
     masks[r] = m;

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/thread_pool.hpp"
+
 namespace dp::nn {
 
 namespace {
@@ -135,6 +137,15 @@ void requireSameShape(const Tensor& a, const Tensor& b,
   if (a.shape() != b.shape())
     throw std::invalid_argument(std::string(context) + ": shape mismatch " +
                                 a.shapeString() + " vs " + b.shapeString());
+}
+
+void elementwise(std::size_t n,
+                 const std::function<void(std::size_t, std::size_t)>& body) {
+  dp::parallelFor(static_cast<long>(n), static_cast<long>(kElementwiseGrain),
+                  [&](long begin, long end) {
+                    body(static_cast<std::size_t>(begin),
+                         static_cast<std::size_t>(end));
+                  });
 }
 
 }  // namespace dp::nn

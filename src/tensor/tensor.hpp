@@ -7,7 +7,9 @@
 /// This is deliberately a plain value type: copy copies, no views, no
 /// hidden sharing — which keeps layer implementations easy to audit.
 
+#include <cmath>
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -93,5 +95,26 @@ class Tensor {
 /// Throws std::invalid_argument unless the two shapes are identical.
 void requireSameShape(const Tensor& a, const Tensor& b,
                       const char* context);
+
+/// Elements per chunk of elementwise(): a fixed count, so the chunking
+/// depends on the tensor size only.
+inline constexpr std::size_t kElementwiseGrain = std::size_t{1} << 14;
+
+/// Runs body(begin, end) over [0, n) in dp::parallelFor chunks of
+/// kElementwiseGrain elements, for loops whose elements are independent
+/// (activations, optimizer updates, loss gradients). Results are
+/// bit-identical at any DP_THREADS and, like every parallelFor chunk,
+/// computed with denormals flushed; a tensor of at most one grain (every
+/// tensor of the guide MLP) runs as one inline chunk.
+void elementwise(std::size_t n,
+                 const std::function<void(std::size_t begin,
+                                          std::size_t end)>& body);
+
+/// The logistic function exactly as the Sigmoid layer computes it; the
+/// fused decode route derives its binarization threshold from this
+/// expression (tensor/decode_fused.hpp).
+[[nodiscard]] inline float sigmoid(float z) {
+  return 1.0f / (1.0f + std::exp(-z));
+}
 
 }  // namespace dp::nn

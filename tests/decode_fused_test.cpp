@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -31,33 +32,21 @@
 #include "geometry/design_rules.hpp"
 #include "models/tcae.hpp"
 #include "models/topology_codec.hpp"
+#include "nn/activations.hpp"
 #include "pipeline/packed.hpp"
 #include "squish/canonical.hpp"
 #include "squish/hash.hpp"
 #include "squish/packed_topo.hpp"
 #include "squish/topology.hpp"
+#include "tensor/decode_fused.hpp"
 #include "tensor/gemm.hpp"
 #include "testutil.hpp"
 
 namespace {
 
 using dp::KernelTarget;
-using dp::nn::setGemmKernelTarget;
 using dp::nn::supportedKernelTargets;
-
-class ScopedKernelTarget {
- public:
-  explicit ScopedKernelTarget(KernelTarget t)
-      : saved_(dp::nn::gemmKernelTarget()) {
-    setGemmKernelTarget(t);
-  }
-  ~ScopedKernelTarget() { setGemmKernelTarget(saved_); }
-  ScopedKernelTarget(const ScopedKernelTarget&) = delete;
-  ScopedKernelTarget& operator=(const ScopedKernelTarget&) = delete;
-
- private:
-  KernelTarget saved_;
-};
+using dp::test::ScopedKernelTarget;
 
 dp::squish::Topology randomTopology(dp::Rng& rng, int maxDim,
                                     double density) {
@@ -132,9 +121,8 @@ TEST(PackedCanonicalOps, LegalityMatchesFloatChecker) {
 // ------------------------------------------- fused decode route
 
 /// Trained world shared by the route-equivalence tests (built once per
-/// process). Training saturates the decoder's logits away from the
-/// sigmoid(x) = 0.5 boundary, so binarized equality between the fused
-/// sign-test epilogue and the float sigmoid-threshold path is exact.
+/// process), on which the fused zHalf epilogue and the float
+/// sigmoid-threshold path must binarize every cell alike.
 struct TrainedWorld {
   dp::drc::TopologyChecker checker;
   dp::models::Tcae tcae;
@@ -163,6 +151,52 @@ const TrainedWorld& trainedWorld() {
     return w;
   }();
   return *world;
+}
+
+// The fused epilogue's zHalf compare must reproduce the float path's
+// `sigmoid(z) >= 0.5f` on every float near the threshold, where a plain
+// sign test disagrees: 1 / (1 + exp(-z)) still rounds to 0.5f for tiny
+// negative z. A plan with all-zero weights makes every cell's
+// pre-activation exactly its deconv2 bias, so sweeping the bias sweeps z
+// through each target's epilogue (16 columns: full vectors on AVX2 and
+// AVX-512).
+TEST(FusedDecodeRoute, BinarizationMatchesFloatSigmoidNearThreshold) {
+  const int c1 = 4;
+  const int s4 = 4;
+  const std::vector<float> zeros(16 * 16 * c1, 0.0f);
+  dp::nn::fused::DecodePlan plan = dp::nn::fused::buildDecodePlan(
+      1, 1, 1, s4, c1, 4, 2, 1, zeros.data(), zeros.data(), zeros.data(),
+      zeros.data(), zeros.data(), zeros.data(), zeros.data(), 0.0f);
+  const float zHalf = plan.zHalf;
+  ASSERT_LT(zHalf, 0.0f);
+  EXPECT_GE(dp::nn::sigmoid(zHalf), 0.5f);
+  EXPECT_LT(dp::nn::sigmoid(std::nextafter(zHalf, -1.0f)), 0.5f);
+
+  constexpr int kUlps = 4096;
+  float z = zHalf;
+  for (int i = 0; i < kUlps; ++i) z = std::nextafter(z, -1.0f);
+  dp::nn::Tensor zs({1, 2 * kUlps + 1});
+  for (std::size_t i = 0; i < zs.numel(); ++i) {
+    zs[i] = z;
+    z = std::nextafter(z, 1.0f);
+  }
+  const dp::nn::Tensor activations = dp::nn::Sigmoid().infer(zs);
+
+  const float latent = 0.0f;
+  std::vector<std::uint32_t> masks(static_cast<std::size_t>(plan.s));
+  for (const KernelTarget t : supportedKernelTargets()) {
+    ScopedKernelTarget guard(t);
+    for (std::size_t i = 0; i < zs.numel(); ++i) {
+      plan.bd2 = zs[i];
+      dp::nn::fused::decodeBatch(plan, &latent, 1, masks.data());
+      const std::uint32_t want = activations[i] >= 0.5f ? 0xffffU : 0U;
+      for (const std::uint32_t row : masks)
+        ASSERT_EQ(row, want) << "target " << dp::kernelTargetName(t)
+                             << " z = " << zs[i] << " ("
+                             << static_cast<long>(i) - kUlps
+                             << " ulps from zHalf)";
+    }
+  }
 }
 
 // decodeMasks must be bit-identical across every dispatch target and

@@ -69,19 +69,7 @@ void refGemm(bool transA, bool transB, int m, int n, int k, float alpha,
   }
 }
 
-/// RAII guard: restores the dispatch target active at construction.
-class ScopedKernelTarget {
- public:
-  explicit ScopedKernelTarget(KernelTarget t) : saved_(gemmKernelTarget()) {
-    setGemmKernelTarget(t);
-  }
-  ~ScopedKernelTarget() { setGemmKernelTarget(saved_); }
-  ScopedKernelTarget(const ScopedKernelTarget&) = delete;
-  ScopedKernelTarget& operator=(const ScopedKernelTarget&) = delete;
-
- private:
-  KernelTarget saved_;
-};
+using dp::test::ScopedKernelTarget;
 
 /// Compares a target's result against the reference under the
 /// per-target exactness policy.

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "common/fp_env.hpp"
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "core/flows.hpp"
@@ -27,6 +29,7 @@
 #include "models/topology_codec.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/conv_transpose2d.hpp"
+#include "nn/optimizer.hpp"
 #include "squish/hash.hpp"
 #include "tensor/gemm.hpp"
 #include "testutil.hpp"
@@ -128,6 +131,195 @@ TEST(SplitMix, TaskSeedsAreDistinctAndStable) {
   EXPECT_EQ(seen.size(), 10000u);
   // Index 0 must not collapse onto the base seed.
   EXPECT_NE(dp::taskSeed(0x5eed, 0), 0x5eedu);
+}
+
+// --------------------------------------------------------- denormal flush
+//
+// Every parallelFor chunk and every pool lane computes with denormals
+// flushed (FTZ|DAZ), the inline paths included, and the caller's own
+// mode comes back when parallelFor returns or throws.
+
+/// Pins the calling thread's flush mode for a test, then restores it.
+class ScopedFlushMode {
+ public:
+  explicit ScopedFlushMode(bool on) : saved_(dp::denormalsFlushed()) {
+    dp::setDenormalsFlushed(on);
+  }
+  ~ScopedFlushMode() { dp::setDenormalsFlushed(saved_); }
+  ScopedFlushMode(const ScopedFlushMode&) = delete;
+  ScopedFlushMode& operator=(const ScopedFlushMode&) = delete;
+
+ private:
+  bool saved_;
+};
+
+bool flushSupported() {
+  const dp::ScopedFlushDenormals flush;
+  return dp::denormalsFlushed();
+}
+
+/// True when this thread's arithmetic flushes: a product below the
+/// normal range comes out as zero (FTZ) and a subnormal operand reads
+/// as zero (DAZ).
+bool arithmeticFlushes() {
+  volatile float small = 1e-20f;
+  volatile float subnormal = 1e-40f;
+  const float product = small * small;
+  const float scaled = subnormal * 1e10f;
+  return product == 0.0f && scaled == 0.0f;
+}
+
+TEST(DenormalFlush, EveryChunkOnEveryLaneFlushes) {
+  if (!flushSupported()) GTEST_SKIP() << "no denormal flush on this ISA";
+  const ScopedFlushMode callerOff(false);
+  ASSERT_FALSE(arithmeticFlushes());
+  for (const int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    std::atomic<long> chunks{0}, flushed{0};
+    const auto record = [&] {
+      ++chunks;
+      if (dp::denormalsFlushed() && arithmeticFlushes()) ++flushed;
+    };
+    // Many chunks (spread over the lanes), one chunk (the inline
+    // shortcut), and nested calls from inside a chunk.
+    pool.parallelFor(256, 1, [&](long, long) { record(); });
+    pool.parallelFor(5, 10, [&](long, long) { record(); });
+    pool.parallelFor(8, 1, [&](long, long) {
+      pool.parallelFor(4, 1, [&](long, long) { record(); });
+      record();  // the nested call left the outer chunk flushed
+    });
+    EXPECT_EQ(chunks.load(), 256 + 1 + 8 * 4 + 8);
+    EXPECT_EQ(flushed.load(), chunks.load()) << threads << " lanes";
+    EXPECT_FALSE(dp::denormalsFlushed());
+  }
+  // The global pool at DP_THREADS=1 runs every chunk inline.
+  const ScopedDpThreads serial(1);
+  std::atomic<long> unflushed{0};
+  dp::parallelFor(64, 4, [&](long, long) {
+    if (!dp::denormalsFlushed() || !arithmeticFlushes()) ++unflushed;
+  });
+  EXPECT_EQ(unflushed.load(), 0);
+}
+
+TEST(DenormalFlush, CallerModeRestoredOnReturnAndThrow) {
+  if (!flushSupported()) GTEST_SKIP() << "no denormal flush on this ISA";
+  for (const bool callerMode : {false, true}) {
+    const ScopedFlushMode caller(callerMode);
+    for (const int threads : {1, 4}) {
+      ThreadPool pool(threads);
+      for (const long grain : {1L, 100L}) {  // pooled and single-chunk
+        pool.parallelFor(64, grain, [](long, long) {});
+        EXPECT_EQ(dp::denormalsFlushed(), callerMode)
+            << "after return, " << threads << " lanes, grain " << grain;
+        EXPECT_THROW(pool.parallelFor(64, grain,
+                                      [](long b, long) {
+                                        if (b == 0)
+                                          throw std::runtime_error("boom");
+                                      }),
+                     std::runtime_error);
+        EXPECT_EQ(dp::denormalsFlushed(), callerMode)
+            << "after throw, " << threads << " lanes, grain " << grain;
+      }
+    }
+  }
+}
+
+// Subnormal operands read as zero on every target and lane count: with
+// small-integer values elsewhere every product and sum is exact, so the
+// result is the integer sum without the subnormal terms, bit for bit.
+// Unflushed, a subnormal times 2^120 would add ~2^-7 to some entries,
+// and 2^-70 * 2^-70 would leave subnormal 2^-140 in the zero entries.
+TEST(DenormalFlush, GemmWithSubnormalInputsExactAcrossThreadsAndTargets) {
+  if (!flushSupported()) GTEST_SKIP() << "no denormal flush on this ISA";
+  const int m = 23, n = 37, k = 48;
+  std::vector<float> a(static_cast<std::size_t>(m) * k);
+  std::vector<float> b(static_cast<std::size_t>(k) * n);
+  std::vector<double> want(static_cast<std::size_t>(m) * n, 0.0);
+  // Inner index p % 3 picks the kind of term: 0 small integers, 1 a
+  // subnormal in A times 2^120 in B, 2 the pair 2^-70 * 2^-70.
+  dp::Rng rng(5);
+  const auto term = [&rng](int p, bool inA) {
+    switch (p % 3) {
+      case 0:
+        return static_cast<float>(rng.uniformInt(-2, 2));
+      case 1:
+        return inA ? std::ldexp(static_cast<float>(rng.uniformInt(1, 7)),
+                                -140)
+                   : std::ldexp(1.0f, 120);
+      default:
+        return std::ldexp(1.0f, -70);
+    }
+  };
+  for (int p = 0; p < k; ++p) {
+    for (int i = 0; i < m; ++i)
+      a[static_cast<std::size_t>(i) * k + p] = term(p, true);
+    for (int j = 0; j < n; ++j)
+      b[static_cast<std::size_t>(p) * n + j] = term(p, false);
+  }
+  for (int i = 0; i < m; ++i)
+    for (int j = 0; j < n; ++j)
+      for (int p = 0; p < k; p += 3)
+        want[static_cast<std::size_t>(i) * n + j] +=
+            double{a[static_cast<std::size_t>(i) * k + p]} *
+            b[static_cast<std::size_t>(p) * n + j];
+  for (const dp::KernelTarget t : dp::nn::supportedKernelTargets()) {
+    const dp::test::ScopedKernelTarget target(t);
+    for (const int threads : {1, 2, 8}) {
+      const ScopedDpThreads scoped(threads);
+      std::vector<float> c(want.size(), 7.0f);
+      dp::nn::gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n,
+                   0.0f, c.data(), n);
+      for (std::size_t e = 0; e < c.size(); ++e)
+        ASSERT_EQ(c[e], static_cast<float>(want[e]))
+            << "target " << dp::kernelTargetName(t) << ", " << threads
+            << " lanes, element " << e;
+    }
+  }
+}
+
+// A sigmoid saturated low (z about -84) on cells whose target is 1 is
+// where training's subnormals come from: its backward multiplies the
+// normal loss gradient -2/n by an output near 1e-37. Unflushed, that
+// leaves subnormals in every parameter's gradient; flushed, none
+// reaches a gradient or an Adam moment.
+TEST(DenormalFlush, SaturatedTrainStepLeavesNoSubnormals) {
+  if (!flushSupported()) GTEST_SKIP() << "no denormal flush on this ISA";
+  dp::Rng rng(3);
+  dp::models::TcaeConfig cfg;
+  cfg.inputSize = 8;
+  cfg.latentDim = 4;
+  cfg.conv1Channels = 2;
+  cfg.conv2Channels = 3;
+  cfg.hidden = 8;
+  cfg.batchSize = 4;
+  dp::models::Tcae model(cfg, rng);
+  dp::nn::Param& outBias = *model.params().back();
+  ASSERT_EQ(outBias.value.numel(), 1u);
+  outBias.value[0] = -84.0f;
+  const float n = static_cast<float>(cfg.batchSize * 8 * 8);
+  ASSERT_EQ(std::fpclassify(dp::nn::sigmoid(-84.0f) * (2.0f / n)),
+            FP_SUBNORMAL);
+
+  Tensor batch({cfg.batchSize, 1, 8, 8});
+  for (std::size_t i = 0; i < batch.numel(); ++i)
+    batch[i] = rng.bernoulli(0.4) ? 1.0f : 0.0f;
+  dp::nn::Adam opt(model.params(), 1e-3);
+  for (const int threads : {1, 2}) {
+    const ScopedDpThreads scoped(threads);
+    (void)model.trainStep(batch, opt);
+    const auto subnormals = [](const Tensor& t) {
+      long count = 0;
+      for (std::size_t i = 0; i < t.numel(); ++i)
+        if (std::fpclassify(t[i]) == FP_SUBNORMAL) ++count;
+      return count;
+    };
+    const auto params = model.params();
+    for (std::size_t i = 0; i < params.size(); ++i)
+      EXPECT_EQ(subnormals(params[i]->grad), 0)
+          << "gradient of param " << i << ", " << threads << " lanes";
+    for (const Tensor* moment : opt.state())
+      EXPECT_EQ(subnormals(*moment), 0) << threads << " lanes";
+  }
 }
 
 // ------------------------------------------------- bit-exact equivalence

@@ -3,7 +3,8 @@
 /// \file testutil.hpp
 /// Shared helpers for the test suite: literal topology construction,
 /// random clip generation, numeric gradient checking for layers,
-/// thread-count scoping and bit-exact tensor comparison.
+/// thread-count and kernel-target scoping and bit-exact tensor
+/// comparison.
 
 #include <gtest/gtest.h>
 
@@ -18,11 +19,13 @@
 #include <system_error>
 #include <vector>
 
+#include "common/cpu.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "geometry/clip.hpp"
 #include "nn/layer.hpp"
 #include "squish/topology.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
 
 namespace dp::test {
@@ -62,6 +65,22 @@ class ScopedDpThreads {
  private:
   bool hadOld_ = false;
   std::string old_;
+};
+
+/// RAII guard that pins the GEMM / fused-decode dispatch target for the
+/// guard's lifetime and restores the previous one afterwards.
+class ScopedKernelTarget {
+ public:
+  explicit ScopedKernelTarget(KernelTarget t)
+      : saved_(nn::gemmKernelTarget()) {
+    nn::setGemmKernelTarget(t);
+  }
+  ~ScopedKernelTarget() { nn::setGemmKernelTarget(saved_); }
+  ScopedKernelTarget(const ScopedKernelTarget&) = delete;
+  ScopedKernelTarget& operator=(const ScopedKernelTarget&) = delete;
+
+ private:
+  KernelTarget saved_;
 };
 
 /// RAII scratch directory under the system temp root. The constructor

@@ -699,6 +699,47 @@ TEST_F(TcaeTrain, InjectedDivergenceReplaysIdenticallyAtAnyThreadCount) {
   }
 }
 
+// The denormal flush (DESIGN.md §9) must not move a single bit of
+// training. Init seed 13 on the 800-clip directprint1 library (the
+// benchmark's training library and recipe) is the initialization with
+// the most denormals; the pins are the FNV-1a of its parameters after
+// 200 steps, recorded before the flush existed. The scalar target adds
+// without FMA, so it has its own pin; AVX2 and AVX-512 train the same
+// bits. A libm whose expf rounds differently needs new pins.
+TEST_F(TcaeTrain, Seed13TrainsToPinnedBitsAtAnyThreadCount) {
+  const std::uint64_t pin =
+      dp::nn::gemmKernelTarget() == dp::KernelTarget::kScalar
+          ? 0x7573e4b98bdd6dc9ULL
+          : 0x974f5da583a551f1ULL;
+  dp::Rng libraryRng(2019);
+  const auto topologies =
+      dp::datagen::extractTopologies(dp::datagen::generateLibrary(
+          dp::datagen::directprintSpec(1), dp::DesignRules{}, 800,
+          libraryRng));
+  dp::models::TcaeConfig cfg;
+  cfg.initialLr = 2e-3;
+  cfg.lrDecayEvery = 1750;
+  cfg.trainSteps = 200;
+  for (const int threads : {1, 2}) {
+    ScopedDpThreads guard(threads);
+    dp::Rng initRng(13);
+    dp::models::Tcae tcae(cfg, initRng);
+    dp::Rng batchRng(1);
+    EXPECT_EQ(tcae.train(topologies, batchRng).steps, 200);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const dp::nn::Param* p : tcae.params()) {
+      const auto* bytes =
+          reinterpret_cast<const unsigned char*>(p->value.data());
+      for (std::size_t i = 0; i < p->value.numel() * sizeof(float); ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ULL;
+      }
+    }
+    EXPECT_EQ(h, pin) << "DP_THREADS=" << threads << ", target "
+                      << dp::kernelTargetName(dp::nn::gemmKernelTarget());
+  }
+}
+
 // ------------------------------------------------- metrics surface
 
 TEST(TrainMetrics, CountersAccumulateAndRenderOnPrometheusSurface) {

@@ -61,6 +61,18 @@ THIS repo rather than of C++:
                             `// dp-lint: nonblocking` justification on
                             the same line or the line above stating why
                             the fd cannot block.
+  DP008 fp-control          Reads and writes of the floating-point
+                            control register (_mm_getcsr/_mm_setcsr,
+                            _MM_{GET,SET}_*_MODE,
+                            __builtin_ia32_{ld,st}mxcsr, fesetenv/
+                            fegetenv/feupdateenv, AArch64 FPCR asm) are
+                            allowed only in src/common/fp_env.cpp. The
+                            denormal flush is part of the determinism
+                            contract: a mode change anywhere else
+                            either leaks into the host program or
+                            makes a result depend on which lane ran it.
+                            These are SSE-baseline control calls, not
+                            an ISA tier, so DP005 leaves them to DP008.
 
 Usage:
   dp_lint.py [--root DIR]     scan the repository (default: cwd)
@@ -334,6 +346,11 @@ RE_INTRIN = re.compile(
     r"immintrin\.h"
 )
 RE_AVX512_ONLY = re.compile(r"\b_mm512_\w+\s*\(|\b__m512i?d?\b|\b__mmask\d+\b")
+# FP control-register access (DP008); DP005 skips these intrinsics.
+RE_FP_CONTROL = re.compile(
+    r"\b_mm_(?:get|set)csr\s*\(|\b_MM_(?:GET|SET)_\w+_MODE\b|"
+    r"\b__builtin_ia32_(?:ld|st)mxcsr\b|\bfe(?:set|get|update)env\b"
+)
 
 
 def rule_isa_confinement(relpath: str, raw: str, stripped: str):
@@ -358,6 +375,8 @@ def rule_isa_confinement(relpath: str, raw: str, stripped: str):
     # code); the quoted-include form is blanked as a string literal, so
     # it gets its own raw-text scan below.
     for m in RE_INTRIN.finditer(stripped):
+        if RE_FP_CONTROL.match(m.group(0)):
+            continue  # FP control, not an ISA tier: DP008's business
         yield Finding(
             relpath, line_of(stripped, m.start()), "DP005",
             f"vector intrinsic surface `{m.group(0).strip()}` outside a "
@@ -419,6 +438,31 @@ def rule_blocking_socket(relpath: str, raw: str, stripped: str):
         )
 
 
+FP_ENV_HOME = "src/common/fp_env.cpp"
+# AArch64 FPCR access lives in asm string literals, which stripping
+# blanks, so it is matched on the raw text.
+RE_FPCR_ASM = re.compile(r'"\s*(?:mrs|msr)\b[^"]*\bfpcr\b', re.IGNORECASE)
+
+
+def rule_fp_control(relpath: str, raw: str, stripped: str):
+    """DP008: the FP control register is set and restored in exactly one
+    place (common/fp_env.cpp), behind the ScopedFlushDenormals guard."""
+    if relpath == FP_ENV_HOME:
+        return
+    hits = [(line_of(stripped, m.start()), m.group(0).strip())
+            for m in RE_FP_CONTROL.finditer(stripped)]
+    hits += [(line_of(raw, m.start()), "fpcr asm")
+             for m in RE_FPCR_ASM.finditer(raw)]
+    for line, what in sorted(hits):
+        yield Finding(
+            relpath, line, "DP008",
+            f"floating-point control access `{what}` outside "
+            f"{FP_ENV_HOME} — change the FP mode only through "
+            "dp::ScopedFlushDenormals (common/fp_env.hpp), which restores "
+            "the caller's mode",
+        )
+
+
 RULES = [
     rule_banned_rng,
     rule_raw_sync,
@@ -427,6 +471,7 @@ RULES = [
     rule_isa_confinement,
     rule_raw_checkpoint_write,
     rule_blocking_socket,
+    rule_fp_control,
 ]
 
 
@@ -528,6 +573,7 @@ RULE_SUMMARIES = {
     "DP005": "vector intrinsics confined to *_avx2.cpp / *_avx512.cpp",
     "DP006": "checkpoint/bundle/artifact writes must use dp::AtomicFileWriter",
     "DP007": "event-loop socket calls must be nonblocking and justified",
+    "DP008": "FP control register touched only in src/common/fp_env.cpp",
 }
 
 
