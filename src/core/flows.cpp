@@ -1,10 +1,13 @@
 #include "core/flows.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/thread_pool.hpp"
+#include "core/fused_generate.hpp"
 #include "drc/packed_rules.hpp"
 #include "models/batch.hpp"
 #include "models/topology_codec.hpp"
@@ -12,6 +15,18 @@
 #include "squish/pad.hpp"
 
 namespace dp::core {
+
+namespace {
+
+/// Appends row `i` of `perturbations` to result.goodVectors.
+void recordGoodVector(const nn::Tensor& perturbations, std::size_t i,
+                      GenerationResult& result) {
+  const auto d = static_cast<std::size_t>(perturbations.size(1));
+  const float* row = perturbations.data() + i * d;
+  result.goodVectors.emplace_back(row, row + d);
+}
+
+}  // namespace
 
 void accountActivationBatch(const nn::Tensor& activations,
                             const drc::TopologyChecker& checker,
@@ -38,20 +53,14 @@ void accountActivationBatch(const nn::Tensor& activations,
     if (!legal[i]) continue;
     ++result.legal;
     result.unique.add(topologies[i]);
-    if (perturbations) {
-      const int d = perturbations->size(1);
-      std::vector<float> row(static_cast<std::size_t>(d));
-      for (int c = 0; c < d; ++c)
-        row[static_cast<std::size_t>(c)] =
-            perturbations->at(static_cast<int>(i), c);
-      result.goodVectors.push_back(std::move(row));
-    }
+    if (perturbations) recordGoodVector(*perturbations, i, result);
   }
 }
 
 void accountMaskBatch(const std::uint32_t* masks, int batch, int edge,
                       const drc::TopologyChecker& checker,
-                      GenerationResult& result) {
+                      GenerationResult& result,
+                      const nn::Tensor* perturbations) {
   if (edge <= 0 || edge > squish::kMaxMaskCols)
     throw std::invalid_argument(
         "accountMaskBatch: edge must fit a 32-bit row mask");
@@ -80,7 +89,8 @@ void accountMaskBatch(const std::uint32_t* masks, int batch, int edge,
                        : 0;
     }
   });
-  for (const Slot& slot : slots) {
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const Slot& slot = slots[i];
     ++result.generated;
     if (!slot.legal) continue;
     ++result.legal;
@@ -88,6 +98,7 @@ void accountMaskBatch(const std::uint32_t* masks, int batch, int edge,
     // this stores exactly what the float path stores.
     result.unique.add(
         squish::masksToTopology(slot.rows, slot.nRows, slot.nCols));
+    if (perturbations) recordGoodVector(*perturbations, i, result);
   }
 }
 
@@ -210,19 +221,20 @@ GenerationResult decodeLatentsAndAccount(
   if (perturbations && perturbations->size(0) != latents.size(0))
     throw std::invalid_argument(
         "decodeLatentsAndAccount: perturbation row count mismatch");
+  const FusedDecodeRoute route(tcae);
+  const int edge = route.topologySize();
   GenerationResult result;
+  std::vector<std::uint32_t> masks;
   const long count = latents.size(0);
   long offset = 0;
   while (offset < count) {
     const int b =
         static_cast<int>(std::min<long>(count - offset, batchSize));
-    const nn::Tensor batch = sliceRows(latents, offset, b);
-    if (perturbations) {
-      const nn::Tensor noise = sliceRows(*perturbations, offset, b);
-      accountActivationBatch(tcae.decode(batch), checker, result, &noise);
-    } else {
-      accountActivationBatch(tcae.decode(batch), checker, result);
-    }
+    route.decodeMasks(sliceRows(latents, offset, b), masks);
+    const nn::Tensor noise =
+        perturbations ? sliceRows(*perturbations, offset, b) : nn::Tensor();
+    accountMaskBatch(masks.data(), b, edge, checker, result,
+                     perturbations ? &noise : nullptr);
     offset += b;
   }
   return result;

@@ -31,28 +31,30 @@ struct FlowConfig {
                               ///< perturbed (paper uses 1000)
 };
 
-/// Decodes a batch of (N,1,S,S) activations, checks topology legality
+/// Binarizes a batch of (N,1,S,S) activations, checks topology legality
 /// sample-parallel on the global thread pool, and folds the outcomes
 /// into `result` in ascending sample order — so accounting (including
 /// PatternLibrary insertion order) is identical at any thread count.
 /// When `perturbations` is non-null, row i is recorded in goodVectors
-/// for every legal sample i.
+/// for every legal sample i. Used for samplers that emit activations
+/// (evaluateSampler) and as the float reference the fused route is
+/// tested against; TCAE latents go through accountMaskBatch.
 void accountActivationBatch(const nn::Tensor& activations,
                             const drc::TopologyChecker& checker,
                             GenerationResult& result,
                             const nn::Tensor* perturbations = nullptr);
 
-/// accountActivationBatch for the fused decode route's bit-packed
-/// output (DESIGN.md §14): `masks` holds `batch` samples of `edge` row
-/// masks each (bit c of a row = cell (r, c)). Unpad, canonicalization
-/// and legality all run on the packed words; the accounting fold (and
-/// therefore the PatternLibrary contents and order) matches what the
-/// float path produces for the same binarized samples. Good-vector
-/// collection is not supported on this route — callers that need it
-/// use the float path.
+/// The accounting half of the TCAE decode route (DESIGN.md §14):
+/// `masks` holds `batch` samples of `edge` row masks each (bit c of a
+/// row = cell (r, c)), as FusedDecodeRoute::decodeMasks emits them.
+/// Unpad, canonicalization and legality all run on the packed words;
+/// the accounting fold (PatternLibrary contents and order, goodVectors
+/// when `perturbations` is non-null) matches accountActivationBatch on
+/// the same binarized samples.
 void accountMaskBatch(const std::uint32_t* masks, int batch, int edge,
                       const drc::TopologyChecker& checker,
-                      GenerationResult& result);
+                      GenerationResult& result,
+                      const nn::Tensor* perturbations = nullptr);
 
 /// Encodes the first min(poolSize, existing.size()) topologies into the
 /// TCAE latent space — the source pool every latent flow perturbs or
@@ -89,10 +91,11 @@ struct LatentPlan {
                                             long count, int batchSize,
                                             int arity, Rng& rng);
 
-/// Decodes `latents` in batches of `batchSize` and runs the legality/
-/// uniqueness accounting. When `perturbations` is non-null its rows
-/// (matched 1:1 with `latents`) are recorded for legal samples. This is
-/// the decode half of every latent flow — the serve batcher calls it on
+/// Decodes `latents` in batches of `batchSize` through a
+/// FusedDecodeRoute built for `tcae` and runs accountMaskBatch on each
+/// batch. When `perturbations` is non-null its rows (matched 1:1 with
+/// `latents`) are recorded for legal samples. This is the decode half
+/// of every latent flow; the serve batcher runs the same route on
 /// coalesced row ranges and reproduces the in-process result.
 [[nodiscard]] GenerationResult decodeLatentsAndAccount(
     const models::Tcae& tcae, const nn::Tensor& latents,

@@ -4,10 +4,12 @@
 /// Fused decode route (DESIGN.md §14): prepacks a Tcae generation
 /// unit's weights into a nn::fused::DecodePlan once and decodes latent
 /// batches straight to binarized row-mask topologies, skipping the
-/// float tensor round-trip between decode and assessment. The 1M
-/// pipeline (pipeline/massive.cpp) and the serve batcher both route
-/// through this; core::decodeLatentsAndAccount keeps the unfused float
-/// path alive as the bit-exactness reference.
+/// float tensor round-trip between decode and assessment. It is the one
+/// route from TCAE latents to accounting: the paper flows
+/// (core::decodeLatentsAndAccount, G-TCAE), the 1M pipeline
+/// (pipeline/massive.cpp) and the serve batcher all decode through it.
+/// The unfused float path (Tcae::decode + accountActivationBatch) stays
+/// only as the bit-exactness reference for tests and benches.
 
 #include <cstdint>
 #include <vector>
@@ -20,9 +22,10 @@ namespace dp::core {
 /// Immutable, thread-safe wrapper around a prepacked decode plan.
 /// Construction walks the Tcae's decoder stack, validates it is the
 /// fused shape (dense, ReLU, dense, ReLU, reshape, deconv 4/2/1, ReLU,
-/// deconv 4/2/1 into one channel, sigmoid) and repacks the weights;
-/// it throws std::invalid_argument for any other stack, in which case
-/// callers use the unfused float path.
+/// deconv 4/2/1 into one channel, sigmoid) and repacks the weights.
+/// Every models::Tcae builds that stack (its constructor caps
+/// inputSize at 32), so construction succeeds for any Tcae; it throws
+/// std::invalid_argument only for a hand-edited stack.
 class FusedDecodeRoute {
  public:
   explicit FusedDecodeRoute(const models::Tcae& tcae);

@@ -3,12 +3,15 @@
 #include "core/guide.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include <cmath>
 #include <map>
 
+#include "core/fused_generate.hpp"
 #include "models/batch.hpp"
 #include "models/topology_codec.hpp"
 #include "squish/complexity.hpp"
@@ -34,14 +37,16 @@ namespace {
 }
 
 /// Decode-and-account loop shared by both G-TCAE flows. Guide sampling
-/// stays serial (it consumes `rng`); the decode + legality accounting
-/// runs sample-parallel via accountActivationBatch.
+/// stays serial (it consumes `rng`); the fused decode and the packed
+/// legality accounting run sample-parallel.
 GenerationResult runGeneration(const models::Tcae& tcae,
                                const nn::Tensor* sourceLatents,
                                const GuideModel& guide,
                                const drc::TopologyChecker& checker,
                                const FlowConfig& flow, Rng& rng) {
+  const FusedDecodeRoute route(tcae);
   GenerationResult result;
+  std::vector<std::uint32_t> masks;
   long remaining = flow.count;
   while (remaining > 0) {
     const int b =
@@ -52,7 +57,9 @@ GenerationResult runGeneration(const models::Tcae& tcae,
           models::sampleIndices(sourceLatents->size(0), b, rng);
       latents += models::gatherRows(*sourceLatents, idx);
     }
-    accountActivationBatch(tcae.decode(latents), checker, result);
+    route.decodeMasks(latents, masks);
+    accountMaskBatch(masks.data(), b, route.topologySize(), checker,
+                     result);
     remaining -= b;
   }
   return result;

@@ -12,6 +12,7 @@
 #include "nn/reshape.hpp"
 #include "nn/schedule.hpp"
 #include "nn/serialize.hpp"
+#include "squish/packed_topo.hpp"
 #include "train/checkpoint.hpp"
 
 namespace dp::models {
@@ -22,6 +23,9 @@ Tcae::Tcae(TcaeConfig config, Rng& rng) : config_(config) {
   const int s = config_.inputSize;
   if (s % 4 != 0)
     throw std::invalid_argument("Tcae: inputSize must be divisible by 4");
+  // The fused decode route emits one 32-bit row mask per topology row.
+  if (s < 4 || s > squish::kMaxMaskCols)
+    throw std::invalid_argument("Tcae: inputSize must be in [4, 32]");
   const int s4 = s / 4;  // spatial size after two stride-2 convs
   const int flat = config_.conv2Channels * s4 * s4;
 

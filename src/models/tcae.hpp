@@ -30,7 +30,7 @@ namespace dp::models {
 /// values over-regularize and collapse the decoder onto the library
 /// mean (verified experimentally; see EXPERIMENTS.md).
 struct TcaeConfig {
-  int inputSize = 24;
+  int inputSize = 24;  ///< topology edge: a multiple of 4 in [4, 32]
   int latentDim = 32;
   int conv1Channels = 8;
   int conv2Channels = 16;

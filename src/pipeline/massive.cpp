@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -14,10 +14,7 @@
 #include "core/fused_generate.hpp"
 #include "drc/packed_rules.hpp"
 #include "models/batch.hpp"
-#include "models/topology_codec.hpp"
 #include "pipeline/sharded_set.hpp"
-#include "squish/canonical.hpp"
-#include "squish/hash.hpp"
 #include "squish/packed_topo.hpp"
 
 namespace dp::pipeline {
@@ -148,16 +145,13 @@ MassiveResult runMassive(const models::Tcae& tcae,
   manifest.checkpointEvery = config.checkpointEvery;
   manifest.patternsPerSegment = config.patternsPerSegment;
 
-  // Decode + assess route through the fused bit-packed path (DESIGN.md
-  // §14) whenever the model's decoder stack supports it; other stacks
-  // fall back to the unfused float reference. Both routes emit the same
-  // hashes and packed bytes for the same binarized samples, so stores
-  // started under one route resume cleanly under the other.
-  std::optional<core::FusedDecodeRoute> fused;
-  try {
-    fused.emplace(tcae);
-  } catch (const std::invalid_argument&) {
-  }
+  // Decode + assess run on the fused bit-packed route (DESIGN.md §14):
+  // latents go straight to binarized row masks, and the whole
+  // assessment runs on the packed words, with no float tensor or
+  // Topology round-trip.
+  const core::FusedDecodeRoute route(tcae);
+  const int edge = route.topologySize();
+  std::vector<std::uint32_t> masks;
 
   const std::uint64_t streamBase = splitmix64(config.seed);
   const int pool = sourceLatents.size(0);
@@ -201,62 +195,34 @@ MassiveResult runMassive(const models::Tcae& tcae,
       std::vector<char> ok(static_cast<std::size_t>(b), 0);
       std::vector<std::uint64_t> hashes(static_cast<std::size_t>(b), 0);
       std::vector<PackedPattern> packs(static_cast<std::size_t>(b));
-      if (fused) {
-        // Fused route: latents go straight to bit-packed binarized
-        // topologies, and the whole assessment runs on the packed
-        // words — no float tensor or Topology round-trip.
-        decodeFault.orThrow();
-        t0 = Clock::now();
-        std::vector<std::uint32_t> masks;
-        fused->decodeMasks(latents, masks);
-        tally.add("decode", static_cast<std::uint64_t>(b), t0);
+      decodeFault.orThrow();
+      t0 = Clock::now();
+      route.decodeMasks(latents, masks);
+      tally.add("decode", static_cast<std::uint64_t>(b), t0);
 
-        assessFault.orThrow();
-        t0 = Clock::now();
-        const int edge = fused->topologySize();
-        dp::parallelFor(b, 8, [&](long i0, long i1) {
-          std::uint32_t rows[squish::kMaxMaskCols];
-          for (long i = i0; i < i1; ++i) {
-            const auto k = static_cast<std::size_t>(i);
-            const std::uint32_t* sample = masks.data() + i * edge;
-            for (int r = 0; r < edge; ++r) rows[r] = sample[r];
-            int nRows = edge;
-            int nCols = edge;
-            squish::unpadMasks(rows, nRows, nCols);
-            squish::canonicalizeMasks(rows, nRows, nCols);
-            if (!drc::isLegalCanonicalMasks(checker.config(), rows, nRows,
-                                            nCols))
-              continue;
-            ok[k] = 1;
-            hashes[k] = squish::hashMasks(rows, nRows, nCols);
-            packs[k] = packMasks(rows, nRows, nCols);
-          }
-        });
-        tally.add("assess", static_cast<std::uint64_t>(b), t0);
-      } else {
-        decodeFault.orThrow();
-        t0 = Clock::now();
-        const nn::Tensor activations = tcae.decode(latents);
-        tally.add("decode", static_cast<std::uint64_t>(b), t0);
-
-        // Assess: threshold/unpad, legality, canonicalize, hash and
-        // pack sample-parallel into index-ordered slots (§6 contract).
-        assessFault.orThrow();
-        t0 = Clock::now();
-        dp::parallelFor(b, 8, [&](long i0, long i1) {
-          for (long i = i0; i < i1; ++i) {
-            const auto k = static_cast<std::size_t>(i);
-            const squish::Topology t = models::decodeGeneratedTopology(
-                activations, static_cast<int>(i));
-            if (!checker.isLegal(t)) continue;
-            ok[k] = 1;
-            const squish::Topology canon = squish::canonicalize(t);
-            hashes[k] = squish::hashTopology(canon);
-            packs[k] = pack(canon);
-          }
-        });
-        tally.add("assess", static_cast<std::uint64_t>(b), t0);
-      }
+      // Assess: unpad, canonicalize, legality, hash and pack
+      // sample-parallel into index-ordered slots (§6 contract).
+      assessFault.orThrow();
+      t0 = Clock::now();
+      dp::parallelFor(b, 8, [&](long i0, long i1) {
+        std::uint32_t rows[squish::kMaxMaskCols];
+        for (long i = i0; i < i1; ++i) {
+          const auto k = static_cast<std::size_t>(i);
+          const std::uint32_t* sample = masks.data() + i * edge;
+          for (int r = 0; r < edge; ++r) rows[r] = sample[r];
+          int nRows = edge;
+          int nCols = edge;
+          squish::unpadMasks(rows, nRows, nCols);
+          squish::canonicalizeMasks(rows, nRows, nCols);
+          if (!drc::isLegalCanonicalMasks(checker.config(), rows, nRows,
+                                          nCols))
+            continue;
+          ok[k] = 1;
+          hashes[k] = squish::hashMasks(rows, nRows, nCols);
+          packs[k] = packMasks(rows, nRows, nCols);
+        }
+      });
+      tally.add("assess", static_cast<std::uint64_t>(b), t0);
 
       // Dedup + store fold: replay the slots serially in ascending
       // sample order, so insertion order (and with it every segment

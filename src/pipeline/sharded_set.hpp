@@ -12,12 +12,13 @@
 ///
 /// Determinism: the set's *contents* are insert-order independent (a
 /// pattern is present or not), and enumeration order is ascending
-/// canonical hash with ties in bucket insertion order — identical to
+/// canonical hash with ties in insertion order — identical to
 /// PatternLibrary's contract. The massive pipeline additionally folds
 /// inserts in ascending sample order, so even collision-bucket order
 /// is thread-count invariant.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -73,13 +74,37 @@ class ShardedPatternSet {
   [[nodiscard]] double diversity() const;
 
  private:
+  /// One stored pattern: its canonical hash and where its words sit in
+  /// the shard's word pool.
+  struct Entry {
+    std::uint64_t hash = 0;
+    std::uint32_t offset = 0;  ///< first word in Shard::words
+    std::uint16_t nWords = 0;  ///< at most 1017: rows, cols <= 255
+    std::uint8_t rows = 0;
+    std::uint8_t cols = 0;
+  };
+
+  /// Flat storage: entries in insertion order, their words in one
+  /// pool, and an open-addressing index (entry + 1, 0 = free slot) on
+  /// the hash. A shard owns a handful of vectors however many patterns
+  /// it holds: per-pattern heap chunks, hundreds of thousands per run,
+  /// would leave tens of ms of deferred allocator consolidation to
+  /// whatever code allocates after the set is freed.
   struct Shard {
     mutable Mutex mutex;
-    std::map<std::uint64_t, std::vector<PackedPattern>> buckets
-        DP_GUARDED_BY(mutex);
+    std::vector<Entry> entries DP_GUARDED_BY(mutex);
+    std::vector<std::uint64_t> words DP_GUARDED_BY(mutex);
+    std::vector<std::uint32_t> index DP_GUARDED_BY(mutex);
     std::map<std::pair<int, int>, std::uint64_t> histogram
         DP_GUARDED_BY(mutex);
-    std::uint64_t count DP_GUARDED_BY(mutex) = 0;
+
+    /// Index slot holding (hash, packed), or the free slot where the
+    /// probe for it ended.
+    [[nodiscard]] std::size_t probe(std::uint64_t hash,
+                                    const PackedPattern& packed) const
+        DP_REQUIRES(mutex);
+    /// Doubles the index and re-slots every entry.
+    void grow() DP_REQUIRES(mutex);
   };
 
   static int shardOf(std::uint64_t hash) {

@@ -15,17 +15,6 @@ namespace dp::serve {
 
 namespace {
 
-/// Rows [begin, begin+n) of a (N, ...) tensor as a fresh tensor.
-nn::Tensor sliceLead(const nn::Tensor& t, long begin, int n) {
-  std::vector<int> shape = t.shape();
-  shape[0] = n;
-  nn::Tensor out(shape);
-  const std::size_t stride = t.numel() / static_cast<std::size_t>(t.size(0));
-  const std::size_t from = static_cast<std::size_t>(begin) * stride;
-  for (std::size_t i = 0; i < out.numel(); ++i) out[i] = t[from + i];
-  return out;
-}
-
 /// Admission error strings, kept out of the hot submit fast path so
 /// the rejection branches (the only string-building ones) stay off it.
 // dp-analyze: cold
@@ -230,36 +219,21 @@ void Batcher::runBatch() {
         row += take.rows;
       }
     }
-    // Fused route (DESIGN.md §14) when the bundle's decoder stack
-    // supports it: the coalesced batch decodes straight to bit-packed
-    // topologies and the per-job accounting runs on the packed words.
-    // Either way the jobs see identical results for the same binarized
-    // samples.
-    if (const core::FusedDecodeRoute* fused = headBundle->fusedRoute()) {
-      std::vector<std::uint32_t> masks;
-      fused->decodeMasks(batch, masks);
-      metrics_.batchOccupancy().observe(static_cast<double>(takes.size()));
-      const int edge = fused->topologySize();
-      long row = 0;
-      for (const Take& take : takes) {
-        core::accountMaskBatch(masks.data() + row * edge, take.rows, edge,
-                               headBundle->checker(), take.job->result);
-        take.job->offset += take.rows;
-        ++take.job->decodeBatches;
-        row += take.rows;
-      }
-    } else {
-      const nn::Tensor activations = headBundle->tcae().decode(batch);
-      metrics_.batchOccupancy().observe(static_cast<double>(takes.size()));
-      long row = 0;
-      for (const Take& take : takes) {
-        const nn::Tensor slice = sliceLead(activations, row, take.rows);
-        core::accountActivationBatch(slice, headBundle->checker(),
-                                     take.job->result);
-        take.job->offset += take.rows;
-        ++take.job->decodeBatches;
-        row += take.rows;
-      }
+    // The coalesced batch decodes on the bundle's fused route
+    // (DESIGN.md §14) straight to bit-packed topologies; the per-job
+    // accounting runs on the packed words.
+    const core::FusedDecodeRoute& route = *headBundle->fusedRoute();
+    std::vector<std::uint32_t> masks;
+    route.decodeMasks(batch, masks);
+    metrics_.batchOccupancy().observe(static_cast<double>(takes.size()));
+    const int edge = route.topologySize();
+    long row = 0;
+    for (const Take& take : takes) {
+      core::accountMaskBatch(masks.data() + row * edge, take.rows, edge,
+                             headBundle->checker(), take.job->result);
+      take.job->offset += take.rows;
+      ++take.job->decodeBatches;
+      row += take.rows;
     }
   } catch (...) {
     // A decode failure poisons every contributing job; fail them all

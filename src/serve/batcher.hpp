@@ -4,9 +4,10 @@
 /// The micro-batching request pipeline. Requests enter a bounded MPMC
 /// queue (submit fails fast when full — the HTTP layer maps that to
 /// 429 + Retry-After); a single batcher worker coalesces the latent
-/// rows of pending same-bundle requests into shared decode batches and
-/// runs decode + legality accounting on the global thread pool via the
-/// core flow helpers.
+/// rows of pending same-bundle requests into shared decode batches,
+/// decodes each batch on the bundle's fused route and runs the packed
+/// legality accounting (core::accountMaskBatch) on the global thread
+/// pool.
 ///
 /// Load shedding: a request may carry a deadlineMs budget. Jobs whose
 /// budget expires while queued or between decode batches fail with

@@ -177,6 +177,7 @@ void cleanupStaleGenerations(const fs::path& dir, std::uint64_t keep) {
 Bundle::Bundle(BundleSpec spec, Rng& initRng)
     : spec_(std::move(spec)),
       tcae_(spec_.tcae, initRng),
+      fused_(tcae_),
       checker_(drc::TopologyRuleConfig::fromRules(spec_.rules)),
       solver_(spec_.rules),
       geomChecker_(spec_.rules) {
@@ -189,11 +190,7 @@ Bundle::Bundle(BundleSpec spec, Rng& initRng)
 }
 
 void Bundle::refreshFusedRoute() {
-  try {
-    fused_.emplace(tcae_);
-  } catch (const std::invalid_argument&) {
-    fused_.reset();  // unfusable stack: batcher uses the float path
-  }
+  fused_ = core::FusedDecodeRoute(tcae_);
 }
 
 void Bundle::setSensitivity(std::vector<double> sensitivity) {

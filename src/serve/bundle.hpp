@@ -97,15 +97,13 @@ class Bundle {
     return sourceLatents_;
   }
 
-  /// Re-prepacks the fused decode route from the TCAE's current
-  /// weights (DESIGN.md §14). Called after train/load finalizes the
-  /// weights; leaves the route unset (float fallback) when the decoder
-  /// stack is not the fusable shape.
+  /// Re-prepacks the fused decode route (DESIGN.md §14) from the
+  /// TCAE's current weights. Called after train/load finalizes them.
   void refreshFusedRoute();
-  /// Prepacked fused decode route, or nullptr when the batcher must
-  /// use the unfused float path.
+  /// The prepacked decode route every request decodes through; built
+  /// at construction, so never null.
   [[nodiscard]] const core::FusedDecodeRoute* fusedRoute() const {
-    return fused_ ? &*fused_ : nullptr;
+    return &fused_;
   }
 
   [[nodiscard]] const drc::TopologyChecker& checker() const {
@@ -125,7 +123,7 @@ class Bundle {
   BundleSpec spec_;
   models::Tcae tcae_;
   std::optional<core::GuideModel> guide_;
-  std::optional<core::FusedDecodeRoute> fused_;
+  core::FusedDecodeRoute fused_;
   std::vector<double> sensitivity_;
   std::optional<core::SensitivityAwarePerturber> perturber_;
   nn::Tensor sourceLatents_;

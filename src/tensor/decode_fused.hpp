@@ -26,10 +26,32 @@
 /// binarized output (pinned by tests/decode_fused_test.cpp), not on
 /// float intermediates — the same doctrine the unfused kernels follow.
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 namespace dp::nn::fused {
+
+/// Cache-line (64-byte) aligned storage for DecodePlan and
+/// detail::DecodeScratch. The kernels stream their rows with 32/64-byte
+/// loads; from 16-byte aligned heap storage the share of loads that
+/// split a cache line, and so decode time, followed heap layout from one
+/// plan or process to the next.
+template <typename T>
+struct CacheAlignedAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t /*n*/) noexcept {
+    ::operator delete(p, kAlign);
+  }
+  bool operator==(const CacheAlignedAllocator&) const = default;
+};
+template <typename T>
+using AlignedVector = std::vector<T, CacheAlignedAllocator<T>>;
 
 /// Geometry + prepacked weights of one decoder stack. Built once per
 /// model (weights are repacked for scatter access), then shared
@@ -44,15 +66,15 @@ struct DecodePlan {
   int s2 = 0;      ///< deconv1 output spatial edge = 2 * s4
   int s = 0;       ///< topology edge = 2 * s2, at most 32
 
-  std::vector<float> w1t;  ///< latentDim x hidden, transposed dense 1
-  std::vector<float> b1;   ///< hidden
-  std::vector<float> w2t;  ///< hidden x flat, transposed dense 2
-  std::vector<float> b2;   ///< flat
+  AlignedVector<float> w1t;  ///< latentDim x hidden, transposed dense 1
+  AlignedVector<float> b1;   ///< hidden
+  AlignedVector<float> w2t;  ///< hidden x flat, transposed dense 2
+  AlignedVector<float> b2;   ///< flat
   /// Deconv1 patches, channels-last: p1[in*16*c1 + (kh*4+kw)*c1 + oc].
-  std::vector<float> p1;
-  std::vector<float> bd1;  ///< c1
+  AlignedVector<float> p1;
+  AlignedVector<float> bd1;  ///< c1
   /// Deconv2 patches: p2[in*16 + kh*4 + kw] (single output channel).
-  std::vector<float> p2;
+  AlignedVector<float> p2;
   float bd2 = 0.0f;  ///< deconv2 bias, folded into the threshold test
   /// Smallest float z whose float sigmoid (nn::sigmoid, the Sigmoid
   /// layer's expression) is >= 0.5f: a cell is set iff z >= zHalf. It
@@ -68,7 +90,7 @@ struct DecodePlan {
 ///   wd2 (c1, 16), bd2                          — deconv2, adjoint layout
 /// Both deconvs must be kernel 4 / stride 2 / pad 1 and the final edge
 /// 4*s4 must fit a 32-bit row mask; throws std::invalid_argument
-/// otherwise (callers fall back to the unfused float path).
+/// otherwise (models::Tcae never builds such a stack).
 [[nodiscard]] DecodePlan buildDecodePlan(
     int latentDim, int hidden, int c2, int s4, int c1, int kernel,
     int stride, int pad, const float* w1, const float* b1, const float* w2,
@@ -86,15 +108,15 @@ namespace detail {
 
 /// Per-thread scratch reused across samples (sized lazily per plan).
 struct DecodeScratch {
-  std::vector<float> h1;      ///< hidden
-  std::vector<float> h2;      ///< flat, as (c2, s4, s4)
-  std::vector<float> mid;     ///< (s2+2) x (s2+2) x c1, channels-last
-  std::vector<float> out;     ///< (s+2) x (s+2)
-  std::vector<int> nzIdx;     ///< nonzero-activation row indices
-  std::vector<float> nzVal;   ///< matching activation values
-  std::vector<int> cellCnt;   ///< per deconv1 input cell: nonzero count
-  std::vector<int> cellIn;    ///< (cell, slot) -> input channel
-  std::vector<float> cellX;   ///< (cell, slot) -> activation value
+  AlignedVector<float> h1;      ///< hidden
+  AlignedVector<float> h2;      ///< flat, as (c2, s4, s4)
+  AlignedVector<float> mid;     ///< (s2+2) x (s2+2) x c1, channels-last
+  AlignedVector<float> out;     ///< (s+2) x (s+2)
+  AlignedVector<int> nzIdx;     ///< nonzero-activation row indices
+  AlignedVector<float> nzVal;   ///< matching activation values
+  AlignedVector<int> cellCnt;   ///< per deconv1 input cell: nonzero count
+  AlignedVector<int> cellIn;    ///< (cell, slot) -> input channel
+  AlignedVector<float> cellX;   ///< (cell, slot) -> activation value
 };
 
 void decodeSampleScalar(const DecodePlan& plan, const float* latent,

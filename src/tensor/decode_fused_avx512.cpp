@@ -177,10 +177,13 @@ void decodeSampleAvx512(const DecodePlan& plan, const float* latent,
         const int lanes = c1 - in < 16 ? c1 - in : 16;
         const __mmask16 k = static_cast<__mmask16>(
             (lanes == 16 ? 0xFFFFU : (1U << static_cast<unsigned>(lanes)) - 1U));
-        const __m512 xv =
-            _mm512_max_ps(_mm512_add_ps(_mm512_maskz_loadu_ps(k, cell + in),
-                                        _mm512_maskz_loadu_ps(k, bd1 + in)),
-                          vzero16);
+        // Masked max: lanes past c1 are zero either way, and GCC 12's
+        // unmasked _mm512_max_ps trips -Wmaybe-uninitialized here.
+        const __m512 xv = _mm512_maskz_max_ps(
+            k,
+            _mm512_add_ps(_mm512_maskz_loadu_ps(k, cell + in),
+                          _mm512_maskz_loadu_ps(k, bd1 + in)),
+            vzero16);
         live |= static_cast<int>(
             _mm512_mask_cmp_ps_mask(k, xv, vzero16, _CMP_GT_OQ));
         _mm512_storeu_ps(xa + in, xv);

@@ -283,12 +283,18 @@ TEST(FusedDecodeRoute, MatchesFloatPathAllTargetsAndThreads) {
 }
 
 // The accounting folds must agree end-to-end: identical generated /
-// legal tallies and an identical pattern library (size, contents and
-// enumeration order) between accountActivationBatch and the fused
+// legal tallies, an identical pattern library (size, contents and
+// enumeration order) and identical good perturbation vectors (content
+// and order) between accountActivationBatch and the fused
 // accountMaskBatch.
 TEST(FusedDecodeRoute, AccountingMatchesFloatPath) {
   const TrainedWorld& w = trainedWorld();
   const dp::core::FusedDecodeRoute route(w.tcae);
+  // Distinct rows, so a good vector recorded for the wrong sample shows.
+  dp::nn::Tensor perturbations(w.latents.shape());
+  dp::Rng rng(11);
+  for (std::size_t i = 0; i < perturbations.numel(); ++i)
+    perturbations[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
 
   for (const KernelTarget t : supportedKernelTargets()) {
     ScopedKernelTarget guard(t);
@@ -296,18 +302,25 @@ TEST(FusedDecodeRoute, AccountingMatchesFloatPath) {
       dp::test::ScopedDpThreads scoped(threads);
       dp::core::GenerationResult viaFloat;
       dp::core::accountActivationBatch(w.tcae.decode(w.latents), w.checker,
-                                       viaFloat);
+                                       viaFloat, &perturbations);
       dp::core::GenerationResult viaFused;
       std::vector<std::uint32_t> masks;
       route.decodeMasks(w.latents, masks);
       dp::core::accountMaskBatch(masks.data(), w.latents.size(0),
-                                 route.topologySize(), w.checker, viaFused);
+                                 route.topologySize(), w.checker, viaFused,
+                                 &perturbations);
 
       EXPECT_EQ(viaFused.generated, viaFloat.generated);
       EXPECT_EQ(viaFused.legal, viaFloat.legal);
       ASSERT_EQ(viaFused.unique.size(), viaFloat.unique.size());
       EXPECT_EQ(viaFused.unique.patterns(), viaFloat.unique.patterns())
           << "library contents diverge: target " << dp::kernelTargetName(t)
+          << " DP_THREADS " << threads;
+      ASSERT_FALSE(viaFloat.goodVectors.empty());
+      EXPECT_EQ(static_cast<long>(viaFused.goodVectors.size()),
+                viaFused.legal);
+      EXPECT_EQ(viaFused.goodVectors, viaFloat.goodVectors)
+          << "good vectors diverge: target " << dp::kernelTargetName(t)
           << " DP_THREADS " << threads;
     }
   }

@@ -129,6 +129,8 @@ TEST(Tcae, RejectsBadConfigAndData) {
   TcaeConfig bad = tinyTcae();
   bad.inputSize = 23;
   EXPECT_THROW(Tcae(bad, rng), std::invalid_argument);
+  bad.inputSize = 36;  // divisible by 4, but wider than a row mask
+  EXPECT_THROW(Tcae(bad, rng), std::invalid_argument);
   Tcae tcae(tinyTcae(), rng);
   EXPECT_THROW(tcae.train({}, rng), std::invalid_argument);
 }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/atomic_file.hpp"
@@ -183,6 +185,54 @@ TEST(ShardedSet, ConcurrentInsertsMatchSerial) {
   serial.forEach([&](std::uint64_t hash, const PackedPattern& p) {
     EXPECT_TRUE(concurrent.containsPacked(hash, p));
   });
+}
+
+// Hand-made hashes force the cases real canonical hashes almost never
+// hit: different patterns under one hash, and distinct hashes that share
+// their low bits (so every probe starts at the same index slot) across
+// several index growths. Enumeration must stay ascending hash with equal
+// hashes in insertion order, and lookups must compare the words.
+TEST(ShardedSet, HashCollisionsKeepInsertionOrder) {
+  constexpr std::uint64_t kShared = 0x5;
+  std::vector<std::pair<std::uint64_t, PackedPattern>> inserted;
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    PackedPattern p;
+    p.rows = 8;
+    p.cols = 8;
+    p.words = {i};
+    const std::uint64_t hash = i % 3 == 0 ? kShared : (i << 20) | kShared;
+    inserted.emplace_back(hash, p);
+  }
+  ShardedPatternSet set;
+  for (const auto& [hash, p] : inserted)
+    EXPECT_TRUE(set.insertPacked(hash, p));
+  for (const auto& [hash, p] : inserted) {
+    EXPECT_FALSE(set.insertPacked(hash, p));
+    EXPECT_TRUE(set.containsPacked(hash, p));
+  }
+  EXPECT_EQ(set.size(), inserted.size());
+  PackedPattern absent;
+  absent.rows = 8;
+  absent.cols = 8;
+  absent.words = {1000};
+  EXPECT_FALSE(set.containsPacked(kShared, absent));
+  PackedPattern reshaped = inserted[0].second;
+  reshaped.rows = 4;
+  reshaped.cols = 16;
+  EXPECT_FALSE(set.containsPacked(kShared, reshaped));
+
+  std::vector<std::pair<std::uint64_t, PackedPattern>> want = inserted;
+  std::stable_sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  std::size_t i = 0;
+  set.forEach([&](std::uint64_t hash, const PackedPattern& p) {
+    ASSERT_LT(i, want.size());
+    EXPECT_EQ(hash, want[i].first);
+    EXPECT_EQ(p, want[i].second);
+    ++i;
+  });
+  EXPECT_EQ(i, want.size());
 }
 
 TEST(ShardedSet, ShannonFromCountsClosedForms) {

@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -269,6 +271,36 @@ TEST(Checkpoint, BundleRoundTrip) {
   Rng sampleB(6);
   expectTensorsBitEqual(bundle->guide()->sample(8, sampleA),
                         loaded->guide()->sample(8, sampleB));
+}
+
+// Every loaded bundle decodes through its fused route, which emits one
+// 32-bit row mask per topology row; a manifest asking for a wider
+// topology is refused at load, naming the field.
+TEST(Checkpoint, BundleWithTooWideInputFailsToLoad) {
+  const auto bundle = testBundle(/*guided=*/false);
+  const test::ScopedTempDir scratch("dp_serve_wide_bundle");
+  const std::string& dir = scratch.path();
+  bundle->save(dir);
+  const std::string path = dir + "/manifest.json";
+  io::Json manifest;
+  {
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    manifest = io::Json::parse(text.str());
+  }
+  io::Json tcae = manifest.at("tcae");
+  tcae.set("inputSize", 36);
+  manifest.set("tcae", tcae);
+  std::ofstream(path) << manifest.dump();
+
+  try {
+    (void)serve::loadBundle(dir);
+    FAIL() << "a manifest with inputSize 36 loaded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("inputSize"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------
